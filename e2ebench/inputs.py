@@ -52,7 +52,7 @@ SIZES = {
         "toy": dict(n0=60, n1=150, mean=200, families=3, length=200),
     },
     "serve": {
-        "full": dict(resident=4000, mean=200, families=8, members=2, pool=40, query=200),
+        "full": dict(resident=4000, mean=200, families=8, members=2, pool=100, query=200),
         "toy": dict(resident=300, mean=200, families=2, members=2, pool=10, query=200),
     },
 }
@@ -83,12 +83,20 @@ def mutate(rng: np.random.Generator, seq: str, identity: float) -> str:
     return "".join(out)
 
 
-def family(rng: np.random.Generator, members: int, length: int) -> tuple[str, list[str]]:
-    """An ancestor of *length* residues and mutated members at 60-90% identity."""
+def family(
+    rng: np.random.Generator, members: int, length: int, identities=None
+) -> tuple[str, list[str]]:
+    """An ancestor of *length* residues and mutated members at the given
+    identities (by default drawn from 60-90%)."""
     ancestor = random_protein(rng, length)
-    return ancestor, [
-        mutate(rng, ancestor, float(rng.uniform(0.6, 0.9))) for _ in range(members)
-    ]
+    if identities is None:
+        identities = [float(rng.uniform(0.6, 0.9)) for _ in range(members)]
+    return ancestor, [mutate(rng, ancestor, identity) for identity in identities]
+
+
+def spaced_identities(n: int) -> list[float]:
+    """*n* identities spread evenly over 60-90%."""
+    return [0.6 + 0.3 * (k + 0.5) / n for k in range(n)]
 
 
 def reverse_complement(nt: str) -> str:
@@ -161,11 +169,18 @@ def serve(seed: int, toy: bool) -> dict:
     (so it hits the family's resident members); the rest are background
     proteins.  Each round of requests sends the whole pool once, so one
     in five requests carries a homolog.  Queries all have the same length.
+    Identities are spread evenly rather than drawn, so that the amount of
+    step-3 work a round asks for varies little from seed to seed.
     """
     size = SIZES["serve"]["toy" if toy else "full"]
     rng = np.random.default_rng([seed, 3])
     background = np.random.default_rng([BACKGROUND_SEED, 3])
-    fams = [family(rng, size["members"], size["query"]) for _ in range(size["families"])]
+    member_identities = spaced_identities(size["members"])
+    homolog_identities = spaced_identities(size["pool"] // 5)
+    fams = [
+        family(rng, size["members"], size["query"], member_identities)
+        for _ in range(size["families"])
+    ]
     resident = random_proteins(background, size["resident"], size["mean"], "res")
     for f, (_, members) in enumerate(fams):
         for m, member in enumerate(members):
@@ -175,7 +190,7 @@ def serve(seed: int, toy: bool) -> dict:
     for i in range(size["pool"]):
         if i % 5 == 0:
             ancestor = fams[(i // 5) % len(fams)][0]
-            pool.append((f"hom{i:03d}", mutate(rng, ancestor, float(rng.uniform(0.6, 0.9)))))
+            pool.append((f"hom{i:03d}", mutate(rng, ancestor, homolog_identities[i // 5])))
         else:
             pool.append((f"bg{i:03d}", random_protein(background, size["query"])))
     return {"resident": resident, "pool": pool}

@@ -8,11 +8,14 @@ one JSON line with the samples, the work counts and the check failures.
 
 * ``--trace 0``: every repetition is the program's own entry point,
   ``SeedComparisonPipeline.compare_with_genome`` / ``compare_banks``.
-* ``--trace 1``: repetitions alternate between that untraced call and a
-  traced one, in which this file calls ``translated_bank``,
-  ``TwoBankIndex.build``, ``ShardedStep2Executor.run`` and
-  ``gapped_stage`` in order under the program's tracer, timing each call
-  in a span of its own.
+* ``--trace 1``: repetitions cycle through three kinds: that untraced
+  call; the same call with the program's tracer active (the pair gives
+  ``obs.overhead``); and a decomposed comparison, in which this file
+  calls ``translated_bank``, ``TwoBankIndex.build``,
+  ``ShardedStep2Executor.run`` and ``gapped_stage`` in order, each in a
+  ``trace.span`` of its own (the per-layer seconds).  The decomposed
+  spans, with the program's own spans beneath them, are written to
+  ``spans.json`` in the inputs directory.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ import resource
 import statistics
 import sys
 import time
-from contextlib import contextmanager
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
@@ -45,26 +47,6 @@ def _config(workload: str):
         return PipelineConfig(workers=1)
     # The paper's Table 3 setting: the ungapped threshold raised by 10.
     return PipelineConfig(ungapped_threshold=45 + 10, workers=2)
-
-
-class Spans:
-    """The benchmark's own spans: name, start, end and parent, in memory."""
-
-    def __init__(self) -> None:
-        self.rows: list[dict] = []
-        self._stack: list[int] = []
-
-    @contextmanager
-    def span(self, name: str):
-        row = {"name": name, "parent": self._stack[-1] if self._stack else None}
-        self.rows.append(row)
-        self._stack.append(len(self.rows) - 1)
-        row["start"] = time.perf_counter()
-        try:
-            yield row
-        finally:
-            row["end"] = time.perf_counter()
-            self._stack.pop()
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -100,7 +82,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.setup_only:
         return 0
 
-    def untraced():
+    def entry():
         t0 = time.perf_counter()
         if genome_mode:
             report = pipeline.compare_with_genome(bank0, genome)
@@ -116,18 +98,21 @@ def main(argv: list[str] | None = None) -> int:
         }
         return wall, report, counts
 
-    spans = Spans()
+    def traced_entry():
+        with trace.activate(trace.Tracer()):
+            return entry()
 
-    def traced():
+    tracer = trace.Tracer()
+
+    def decomposed():
         profile = PipelineProfile()
-        with trace.activate(trace.Tracer()), spans.span("compare") as root:
-            tr = {"start": 0.0, "end": 0.0}
+        with trace.activate(tracer), trace.span("compare") as root:
             if genome_mode:
-                with spans.span("translate") as tr:
+                with trace.span("translate"):
                     b1 = translated_bank(genome, pad=max(64, config.flank + 8))
             else:
                 b1 = bank1
-            with spans.span("step1") as s1:
+            with trace.span("step1"):
                 index = TwoBankIndex.build(bank0, b1, config.seed_model)
             executor = ShardedStep2Executor(
                 config.ungapped_config(),
@@ -135,21 +120,21 @@ def main(argv: list[str] | None = None) -> int:
                 supervisor=config.supervisor_config(),
                 min_pairs_per_shard=config.min_pairs_per_shard,
             )
-            with spans.span("executor") as ex:
+            with trace.span("executor"):
                 hits = executor.run(index)
-            with spans.span("step3") as s3:
+            with trace.span("step3"):
                 report = gapped_stage(bank0, b1, hits, config, profile)
+        took = {s.name: s.duration for s in tracer.spans if s.parent_id == root.span_id}
         shard_walls = [s.wall_seconds for s in executor.last_timings]
         layers = {
-            "total": root["end"] - root["start"],
-            "translate.s": tr["end"] - tr["start"],
-            "step1.s": s1["end"] - s1["start"],
+            "translate.s": took.get("translate", 0.0),
+            "step1.s": took["step1"],
             "step2.s": sum(shard_walls),
-            "executor.s": ex["end"] - ex["start"],
-            "executor.overhead_s": ex["end"] - ex["start"] - max(shard_walls),
+            "executor.s": took["executor"],
+            "executor.overhead_s": took["executor"] - max(shard_walls),
             "executor.imbalance": max(shard_walls) / statistics.fmean(shard_walls),
             "executor.retries": executor.last_health.retries,
-            "step3.s": s3["end"] - s3["start"],
+            "step3.s": took["step3"],
         }
         counts = {
             "step1.seed_pairs": index.total_pairs,
@@ -162,19 +147,24 @@ def main(argv: list[str] | None = None) -> int:
         return layers, report, counts
 
     walls: list[float] = []
+    traced_walls: list[float] = []
     layer_rows: list[dict] = []
     rows_seen: list[list[dict]] = []
     counts_seen: list[dict] = []
     start = time.perf_counter()
     rep = 0
-    # Whole comparisons only; at least two untimed-out repetitions (and, when
-    # traced, at least one of each kind).
-    while rep < 2 or time.perf_counter() - start < args.seconds:
-        if args.trace and rep % 2 == 1:
-            layers, report, counts = traced()
+    # Whole comparisons only: at least two, and when traced at least one of
+    # each kind.
+    kinds = 3 if args.trace else 1
+    while rep < max(2, kinds) or time.perf_counter() - start < args.seconds:
+        if rep % kinds == 2:
+            layers, report, counts = decomposed()
             layer_rows.append(layers)
+        elif rep % kinds == 1:
+            wall, report, counts = traced_entry()
+            traced_walls.append(wall)
         else:
-            wall, report, counts = untraced()
+            wall, report, counts = entry()
             walls.append(wall)
         rows_seen.append(checks.report_rows(report))
         counts_seen.append(counts)
@@ -213,6 +203,7 @@ def main(argv: list[str] | None = None) -> int:
 
     result = {
         "walls": walls,
+        "traced_walls": traced_walls,
         "layers": layer_rows,
         "counts": first,
         "failures": failures,
@@ -228,7 +219,7 @@ def main(argv: list[str] | None = None) -> int:
                 f"compare_s {compare_s:.3f} within {LAYER_SUM_MARGIN:.0%}"
             )
         with open(os.path.join(work, "spans.json"), "w", encoding="ascii") as fh:
-            json.dump(spans.rows, fh)
+            json.dump(tracer.export(), fh)
     print(json.dumps(result), flush=True)
     return 0
 

@@ -34,47 +34,12 @@ sys.path.insert(0, HERE)
 
 import inputs  # noqa: E402
 
-END_TO_END = {
-    "compare_s": "s",
-    "latency_p50_s": "s",
-    "latency_p90_s": "s",
-    "qps": "1/s",
-    "setup_s": "s",
-    "peak_rss_mb": "MB",
-}
-PER_LAYER = {
-    "translate.s": "s",
-    "step1.s": "s",
-    "step1.seed_pairs": "count",
-    "step2.s": "s",
-    "step2.pairs": "count",
-    "step2.pairs_per_s": "1/s",
-    "step2.hits": "count",
-    "step2.hit_ratio": "ratio",
-    "executor.s": "s",
-    "executor.overhead_s": "s",
-    "executor.imbalance": "ratio",
-    "executor.retries": "count",
-    "step3.s": "s",
-    "step3.extensions": "count",
-    "step3.skipped": "count",
-    "step3.dp_cells": "count",
-    "step3.cells_per_s": "1/s",
-    "step3.alignments": "count",
-    "step3.yield": "ratio",
-    "serve.queue_s": "s",
-    "serve.queue_p90_s": "s",
-    "serve.step1_s": "s",
-    "serve.step2_s": "s",
-    "serve.step3_s": "s",
-    "serve.dispatch_s": "s",
-    "serve.transport_s": "s",
-    "serve.send_lag_s": "s",
-    "obs.overhead": "ratio",
-}
-WORKLOADS = ("genome-compare", "bank-scan", "serve-saturated")
-#: Set-ups per run; ``setup_s`` is their median.
-SETUPS = 3
+with open(os.path.join(os.path.dirname(HERE), "BENCHMARK.json"), encoding="utf-8") as _fh:
+    DECLARED = json.load(_fh)
+#: Launches per one-shot run and server boots per serve run; ``setup_s``
+#: is their median.  One launch alone spreads by a third on a busy machine.
+ONESHOT_SETUPS = 9
+SERVE_SETUPS = 5
 CHILD_TIMEOUT = 150.0
 
 
@@ -90,6 +55,27 @@ def reference_loop() -> float:
     return time.perf_counter() - t0
 
 
+def cpu_times() -> list[int] | None:
+    """The machine's aggregate CPU counters from ``/proc/stat``, if any."""
+    try:
+        with open("/proc/stat", encoding="ascii") as fh:
+            return [int(x) for x in fh.readline().split()[1:]]
+    except (OSError, ValueError):
+        return None
+
+
+def steal_share(start: list[int] | None) -> str:
+    """Share of CPU time the hypervisor gave to other guests since *start*.
+
+    Slow stretches of a run on a shared virtual machine line up with it.
+    """
+    end = cpu_times()
+    if not start or not end or len(end) < 8:
+        return "n/a"
+    delta = [b - a for a, b in zip(start, end)]
+    return f"{100.0 * delta[7] / max(1, sum(delta)):.1f}%"
+
+
 def header() -> None:
     import numpy as np
 
@@ -103,10 +89,6 @@ def header() -> None:
         f"step2_backend={backend}",
         flush=True,
     )
-
-
-def median(values) -> float:
-    return statistics.median(values)
 
 
 def middle_mean(values) -> float:
@@ -147,9 +129,10 @@ def run_oneshot(args, work: str, env: dict) -> tuple[dict, int, int, list[str]]:
         "--workload", args.workload, "--inputs", work, "--seed", str(args.seed),
         "--seconds", str(args.seconds), "--trace", str(args.trace),
     ]
+    launches = 1 if args.trace else ONESHOT_SETUPS
     setups = []
-    for i in range(SETUPS):
-        last = i == SETUPS - 1
+    for i in range(launches):
+        last = i == launches - 1
         t0 = time.perf_counter()
         proc = subprocess.Popen(
             base + ([] if last else ["--setup-only"]), stdout=subprocess.PIPE, env=env, text=True
@@ -169,17 +152,17 @@ def run_oneshot(args, work: str, env: dict) -> tuple[dict, int, int, list[str]]:
             raise RuntimeError(f"{args.workload} process exited with code {proc.returncode}")
     data = json.loads(out.strip().splitlines()[-1])
     walls = data["walls"]
-    attempted = len(walls) + len(data["layers"])
+    attempted = len(walls) + len(data["traced_walls"]) + len(data["layers"])
     if not args.trace:
         return {
             "compare_s": middle_mean(walls),
-            "latency_p50_s": median(walls),
+            "latency_p50_s": statistics.median(walls),
             "latency_p90_s": p90(walls),
             "qps": len(walls) / sum(walls),
-            "setup_s": median(setups),
+            "setup_s": statistics.median(setups),
             "peak_rss_mb": data["rss_kb"] / 1024.0,
         }, attempted, 0, data["failures"]
-    layers = {k: median([row[k] for row in data["layers"]]) for k in data["layers"][0]}
+    layers = {k: statistics.median([row[k] for row in data["layers"]]) for k in data["layers"][0]}
     counts = data["counts"]
     metrics = {k: layers[k] for k in ("translate.s", "step1.s", "step2.s", "step3.s")}
     metrics.update({k: layers[k] for k in layers if k.startswith("executor.")})
@@ -187,8 +170,8 @@ def run_oneshot(args, work: str, env: dict) -> tuple[dict, int, int, list[str]]:
     metrics.update(
         {k: counts[k] for k in ("step1.seed_pairs", "step2.pairs", "step2.hits", "step3.extensions", "step3.dp_cells", "step3.alignments")}
     )
-    metrics["obs.overhead"] = layers["total"] / median(walls) - 1.0
-    metrics.update({k: 0.0 for k in PER_LAYER if k.startswith("serve.")})
+    metrics["obs.overhead"] = statistics.median(data["traced_walls"]) / statistics.median(walls) - 1.0
+    metrics.update({m["name"]: 0.0 for m in DECLARED["per_layer"] if m["name"].startswith("serve.")})
     return _derived(metrics), attempted, 0, data["failures"]
 
 
@@ -218,7 +201,7 @@ def run_serve(args, work: str, env: dict) -> tuple[dict, int, int, list[str]]:
             for traced in (False, True)
         ]
     else:
-        phases = [serveload.run_phase(bank, pool, args.seconds, args.seed, False, env, log, boots=SETUPS)]
+        phases = [serveload.run_phase(bank, pool, args.seconds, args.seed, False, env, log, boots=SERVE_SETUPS)]
     failures: list[str] = []
     cold = serveload.check_responses(phases, pool, bank, failures)
     attempted = sum(len(p["samples"]) for p in phases)
@@ -231,14 +214,34 @@ def run_serve(args, work: str, env: dict) -> tuple[dict, int, int, list[str]]:
     ok = [s for s in last["samples"] if s.status == 200]
     breakdowns = [last["records"][s.body["request_id"]]["breakdown"] for s in ok]
     if not args.trace:
-        lat = latencies(last)
-        window = max(s.done for s in ok) - min(s.sent for s in ok)
+        # Each figure is taken per round (the whole pool once, so every
+        # figure covers the same query mix).  The run reports the lower
+        # quartile of its complete rounds' times and the upper quartile of
+        # their rates: host contention only ever slows a round down, so the
+        # run's better rounds show the program and a burst of contention
+        # that spares a quarter of the rounds does not move the figure.
+        rounds = serveload.complete_rounds(last["samples"], len(pool))
+        if not rounds:
+            raise RuntimeError("the run completed no whole round of requests")
+
+        def per_round(stat, quartile: int = 0) -> float:
+            values = [stat(r) for r in rounds]
+            if len(values) == 1:
+                return values[0]
+            return statistics.quantiles(values, n=4, method="inclusive")[quartile]
+
+        def lat(r) -> list[float]:
+            return [s.done - s.sent for s in r]
+
+        def server_s(r) -> list[float]:
+            return [last["records"][s.body["request_id"]]["breakdown"]["total"] for s in r]
+
         return {
-            "compare_s": median([b["total"] for b in breakdowns]),
-            "latency_p50_s": median(lat),
-            "latency_p90_s": p90(lat),
-            "qps": len(ok) / window,
-            "setup_s": median(last["setups"]),
+            "compare_s": per_round(lambda r: statistics.fmean(server_s(r))),
+            "latency_p50_s": per_round(lambda r: statistics.median(lat(r))),
+            "latency_p90_s": per_round(lambda r: p90(lat(r))),
+            "qps": per_round(lambda r: len(r) / (max(s.done for s in r) - min(s.sent for s in r)), 2),
+            "setup_s": statistics.median(last["setups"]),
             "peak_rss_mb": last["rss_kb"] / 1024.0,
         }, attempted, failed, failures
 
@@ -255,30 +258,30 @@ def run_serve(args, work: str, env: dict) -> tuple[dict, int, int, list[str]]:
     bodies = cold["bodies"].values()
     metrics = {
         "translate.s": 0.0,
-        "step1.s": median([span_seconds(d, "step1.index")[0] for d in docs]),
-        "step2.s": median([sum(w) if w else u for w, u in zip(workers, ungapped, strict=True)]),
-        "executor.s": median(ungapped),
-        "executor.overhead_s": median([u - max(s, default=u) for s, u in zip(shards, ungapped, strict=True)]),
-        "executor.imbalance": median([max(w) / statistics.fmean(w) if w else 1.0 for w in workers]),
+        "step1.s": statistics.median([span_seconds(d, "step1.index")[0] for d in docs]),
+        "step2.s": statistics.median([sum(w) if w else u for w, u in zip(workers, ungapped, strict=True)]),
+        "executor.s": statistics.median(ungapped),
+        "executor.overhead_s": statistics.median([u - max(s, default=u) for s, u in zip(shards, ungapped, strict=True)]),
+        "executor.imbalance": statistics.median([max(w) / statistics.fmean(w) if w else 1.0 for w in workers]),
         "executor.retries": sum(s.body["run_health"]["retries"] for p in phases for s in p["samples"] if s.status == 200),
-        "step3.s": median([span_seconds(d, "step3.gapped")[0] for d in docs]),
+        "step3.s": statistics.median([span_seconds(d, "step3.gapped")[0] for d in docs]),
         "step1.seed_pairs": sum(b["n_seed_pairs"] for b in bodies),
         "step2.pairs": sum(b["n_seed_pairs"] for b in bodies),
         "step2.hits": sum(b["n_ungapped_hits"] for b in bodies),
         "step3.extensions": sum(b["n_gapped_extensions"] for b in bodies),
         "step3.alignments": sum(b["n_alignments"] for b in bodies),
         "step3.dp_cells": cold["dp_cells"],
-        "serve.queue_s": median([b["queue"] for b in breakdowns]),
+        "serve.queue_s": statistics.median([b["queue"] for b in breakdowns]),
         "serve.queue_p90_s": p90([b["queue"] for b in breakdowns]),
-        "serve.step1_s": median([b["step1"] for b in breakdowns]),
-        "serve.step2_s": median([b["step2"] for b in breakdowns]),
-        "serve.step3_s": median([b["merge"] for b in breakdowns]),
-        "serve.dispatch_s": median([b["dispatch"] for b in breakdowns]),
-        "serve.transport_s": median(
+        "serve.step1_s": statistics.median([b["step1"] for b in breakdowns]),
+        "serve.step2_s": statistics.median([b["step2"] for b in breakdowns]),
+        "serve.step3_s": statistics.median([b["merge"] for b in breakdowns]),
+        "serve.dispatch_s": statistics.median([b["dispatch"] for b in breakdowns]),
+        "serve.transport_s": statistics.median(
             [s.done - s.sent - b["queue"] - b["total"] for s, b in zip(ok, breakdowns, strict=True)]
         ),
         "serve.send_lag_s": p90([s.sent - s.due for s in ok]),
-        "obs.overhead": median(latencies(last)) / median(latencies(phases[0])) - 1.0,
+        "obs.overhead": statistics.median(latencies(last)) / statistics.median(latencies(phases[0])) - 1.0,
     }
     m = _derived(metrics)
     m["step2.pairs_per_s"] = ratio(shard_pairs, sum(sum(w) for w in workers))
@@ -288,7 +291,7 @@ def run_serve(args, work: str, env: dict) -> tuple[dict, int, int, list[str]]:
 
 def main(argv: list[str] | None = None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    p.add_argument("--workload", required=True, choices=WORKLOADS)
+    p.add_argument("--workload", required=True, choices=[w["name"] for w in DECLARED["workloads"]])
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--seconds", type=float, required=True)
     p.add_argument("--trace", type=int, choices=(0, 1), default=0)
@@ -308,17 +311,19 @@ def main(argv: list[str] | None = None) -> int:
 
     header()
     print(f"# reference_loop_s start={reference_loop():.4f}", flush=True)
+    cpu_start = cpu_times()
     runner = run_oneshot if args.workload in ("genome-compare", "bank-scan") else run_serve
     metrics, attempted, failed, failures = runner(args, work, env)
+    print(f"# host_steal run={steal_share(cpu_start)}", flush=True)
     print(f"# reference_loop_s end={reference_loop():.4f}", flush=True)
     for failure in failures[:20]:
         print(f"# check failed: {failure}", flush=True)
-    units = PER_LAYER if args.trace else END_TO_END
+    declared = DECLARED["per_layer" if args.trace else "end_to_end"]
     result = {
         "correct": not failures,
         "attempted": attempted,
         "failed": failed,
-        "metrics": {k: {"value": float(metrics[k]), "unit": u} for k, u in units.items()},
+        "metrics": {m["name"]: {"value": float(metrics[m["name"]]), "unit": m["unit"]} for m in declared},
     }
     print(json.dumps(result), flush=True)
     return 0

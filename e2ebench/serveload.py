@@ -1,9 +1,9 @@
 """The serve workload: a real ``repro-psc serve`` process under HTTP load.
 
-The load comes from this process over at most two connections at a time
-(``http.client``, one thread each, a fresh connection per request), in a
-closed loop: each connection sends its next request as soon as the
-previous reply arrives.
+The load comes from this process over two persistent HTTP/1.1 keep-alive
+connections (``http.client``, one thread each), in a closed loop: each
+connection sends its next request as soon as the previous reply arrives,
+as a caller that keeps using the service would.
 
 Server-side layer timings come from the server's own ``/debug/requests``
 flight records and ``/debug/trace/<request id>`` span trees.
@@ -26,12 +26,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 CONNECTIONS = 2
+#: Closed-loop load sent and thrown away before the timed load starts.
+WARMUP_SECONDS = 1.0
 BOOT_TIMEOUT = 60.0
 REQUEST_TIMEOUT = 60.0
 
 
 @dataclass
 class Sample:
+    #: Position in the order requests were taken; ``index // len(pool)``
+    #: is the round the request belongs to.
+    index: int
     query: int
     due: float
     sent: float = 0.0
@@ -132,7 +137,7 @@ def drive(port: int, pool: list[tuple[str, str]], seconds: float, seed: int) -> 
     t0 = time.perf_counter() + 0.05
     lock = threading.Lock()
     rng = np.random.default_rng([seed, 5])
-    order = (int(q) for _ in itertools.count() for q in rng.permutation(len(pool)))
+    order = enumerate(int(q) for _ in itertools.count() for q in rng.permutation(len(pool)))
     done: list[Sample] = []
     errors: list[BaseException] = []
 
@@ -141,30 +146,27 @@ def drive(port: int, pool: list[tuple[str, str]], seconds: float, seed: int) -> 
         with lock:
             if free_at - t0 >= seconds:
                 return None
-            return Sample(next(order), free_at)
+            return Sample(*next(order), free_at)
 
     def connection() -> None:
-        # A fresh connection per request, as the program's own load client
-        # (repro.serve.client) does.
         free_at = t0
+        conn = http.client.HTTPConnection("127.0.0.1", port, timeout=REQUEST_TIMEOUT)
         try:
             while (s := next_sample(free_at)) is not None:
                 payload = json.dumps({"queries": [list(pool[s.query])]}).encode()
-                conn = http.client.HTTPConnection("127.0.0.1", port, timeout=REQUEST_TIMEOUT)
-                try:
-                    s.sent = time.perf_counter()
-                    conn.request("POST", "/search", payload, {"Content-Type": "application/json"})
-                    resp = conn.getresponse()
-                    raw = resp.read()
-                    s.done = free_at = time.perf_counter()
-                finally:
-                    conn.close()
+                s.sent = time.perf_counter()
+                conn.request("POST", "/search", payload, {"Content-Type": "application/json"})
+                resp = conn.getresponse()
+                raw = resp.read()
+                s.done = free_at = time.perf_counter()
                 s.status = resp.status
                 s.body = json.loads(raw)
                 with lock:
                     done.append(s)
         except BaseException as exc:  # noqa: BLE001 - re-raised below
             errors.append(exc)
+        finally:
+            conn.close()
 
     threads = [threading.Thread(target=connection) for _ in range(CONNECTIONS)]
     for t in threads:
@@ -173,7 +175,15 @@ def drive(port: int, pool: list[tuple[str, str]], seconds: float, seed: int) -> 
         t.join()
     if errors:
         raise errors[0]
-    return sorted(done, key=lambda s: s.sent)
+    return sorted(done, key=lambda s: s.index)
+
+
+def complete_rounds(samples: list[Sample], pool_size: int) -> list[list[Sample]]:
+    """The samples of every round whose requests all got an answer."""
+    rounds: dict[int, list[Sample]] = {}
+    for s in samples:
+        rounds.setdefault(s.index // pool_size, []).append(s)
+    return [r for _, r in sorted(rounds.items()) if len(r) == pool_size]
 
 
 def run_phase(bank: str, pool, seconds: float, seed: int, traced: bool, env: dict, log: str, boots: int) -> dict:
@@ -186,6 +196,7 @@ def run_phase(bank: str, pool, seconds: float, seed: int, traced: bool, env: dic
     server = Server(bank, traced, env, log)
     setups.append(server.setup_s)
     try:
+        drive(server.port, pool, WARMUP_SECONDS, seed + 1)
         samples = drive(server.port, pool, seconds, seed)
         _, flight = server.get(f"/debug/requests?limit={len(samples) + 16}")
         records = {r["request_id"]: r for r in flight["records"]}
